@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint race chaos bench-smoke bench-sched bench-trace bench-comm bench-comm-gate bench-policy bench-elastic bench-supervise
+.PHONY: check lint race chaos bench-smoke bench-sched bench-trace bench-comm bench-comm-gate bench-policy bench-elastic bench-supervise bench-e2e
 
 ## check: the tier-1 gate — vet, then the project linter, then build and
 ## the full test suite.
@@ -72,6 +72,12 @@ bench-elastic:
 ## verifies committed phases byte-identical.
 bench-supervise:
 	$(GO) run ./cmd/hiper-bench -supervise -superviseout BENCH_supervise.json
+
+## bench-e2e: run the repository benchmark (BENCHMARK.json) end to end —
+## all four workloads, seed 1, 20 s each, tracing off. Builds perfbench
+## from source; results land under the git-ignored .bench_build/.
+bench-e2e:
+	bash perfbench/run.sh --workload all --seed 1 --seconds 20 --trace 0
 
 ## chaos: fault-injection gate — every chaos/resilience/self-healing test
 ## (deterministic seeded fault plans over the Reliable layer, plus the

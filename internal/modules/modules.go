@@ -43,7 +43,8 @@ type Module interface {
 	Finalize()
 }
 
-// registry tracks which modules are installed on which runtime.
+// registry tracks which modules are installed on which runtime, from the
+// first Install until the runtime shuts down.
 var registry sync.Map // *core.Runtime -> *runtimeModules
 
 type runtimeModules struct {
@@ -56,7 +57,14 @@ type runtimeModules struct {
 // modules with the same name on one runtime is an error, as is installing
 // the same name twice.
 func Install(rt *core.Runtime, m Module) error {
-	v, _ := registry.LoadOrStore(rt, &runtimeModules{byName: make(map[string]Module)})
+	v, loaded := registry.LoadOrStore(rt, &runtimeModules{byName: make(map[string]Module)})
+	if !loaded {
+		// Drop the entry at Shutdown so the registry does not pin the
+		// runtime and its modules. Registered before any module's
+		// finalizer, it runs last (LIFO), so Finalize can still use
+		// Installed to reach its peers.
+		rt.RegisterFinalizer(func() { registry.Delete(rt) })
+	}
 	rms := v.(*runtimeModules)
 	rms.mu.Lock()
 	if _, dup := rms.byName[m.Name()]; dup {

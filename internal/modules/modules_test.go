@@ -135,3 +135,45 @@ type orderModule struct {
 func (m *orderModule) Name() string             { return m.name }
 func (m *orderModule) Init(*core.Runtime) error { return nil }
 func (m *orderModule) Finalize()                { *m.order = append(*m.order, m.name) }
+
+func TestShutdownReleasesRegistryEntry(t *testing.T) {
+	rt := newRT()
+	MustInstall(rt, &fakeModule{name: "a"})
+	rt.Launch(func(c *core.Ctx) {})
+	rt.Shutdown()
+	if got := Names(rt); got != nil {
+		t.Fatalf("names after Shutdown = %v, want nil", got)
+	}
+	if _, ok := registry.Load(rt); ok {
+		t.Fatal("registry still holds the shut-down runtime")
+	}
+}
+
+func TestFinalizeSeesPeers(t *testing.T) {
+	rt := newRT()
+	var seen []string
+	a := &peerModule{name: "a", peer: "b", rt: rt, seen: &seen}
+	b := &peerModule{name: "b", peer: "a", rt: rt, seen: &seen}
+	MustInstall(rt, a)
+	MustInstall(rt, b)
+	rt.Launch(func(c *core.Ctx) {})
+	rt.Shutdown()
+	if len(seen) != 2 || seen[0] != "b->a" || seen[1] != "a->b" {
+		t.Fatalf("peers seen from Finalize = %v, want [b->a a->b]", seen)
+	}
+}
+
+// peerModule records, at Finalize, whether its peer is still Installed.
+type peerModule struct {
+	name, peer string
+	rt         *core.Runtime
+	seen       *[]string
+}
+
+func (m *peerModule) Name() string             { return m.name }
+func (m *peerModule) Init(*core.Runtime) error { return nil }
+func (m *peerModule) Finalize() {
+	if Installed(m.rt, m.peer) != nil {
+		*m.seen = append(*m.seen, m.name+"->"+m.peer)
+	}
+}

@@ -104,10 +104,12 @@ func RunElastic(cfg ElasticConfig) (ElasticResult, error) {
 	priv := make([][]float64, cfg.Capacity) // {runs, visitedOwned, digestFold}
 	mods := make([]*hiperckpt.Module, cfg.Capacity)
 
-	// Oracle depth digests per phase, computed once with no fabric.
+	// Oracle depth digests per phase, computed once with no fabric over
+	// one full-graph CSR that every phase's validation reuses.
+	full := buildLocalCSR(g, 1, 0)
 	oracleDigest := make([]uint64, cfg.Phases)
 	for ph := 0; ph < cfg.Phases; ph++ {
-		_, d := SequentialBFS(g, phaseRoot(g, ph))
+		_, d := bfsOver(full, phaseRoot(g, ph))
 		oracleDigest[ph] = fnvDepths(d)
 	}
 
@@ -183,7 +185,7 @@ func RunElastic(cfg ElasticConfig) (ElasticResult, error) {
 		ranks := tab.Ranks()
 		root := phaseRoot(g, phase)
 		parent, depth, visited := gatherResult(g, states[:ranks])
-		if err := ValidateTree(g, root, parent, depth); err != nil {
+		if err := validateOver(full, root, parent, depth); err != nil {
 			return fmt.Errorf("graph500: phase %d: %w", phase, err)
 		}
 		h := fnvDepths(depth)

@@ -1,6 +1,8 @@
 package graph500
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -217,4 +219,161 @@ func TestChaosGraph500(t *testing.T) {
 	}
 	t.Run("reference", func(t *testing.T) { run(t, "reference", RunReference) })
 	t.Run("hiper", func(t *testing.T) { run(t, "hiper", RunHiPER) })
+}
+
+// TestHiPEREarlyClaimsStayOutOfRootFrontier repeats the 16-rank HiPER
+// BFS, where peers of the root's owner routinely send depth-1 claims
+// before a rank has set up its root frontier. A when-handler armed before
+// that setup drained them into the depth-0 frontier and produced depth-1
+// vertices whose oracle depth is 2.
+func TestHiPEREarlyClaimsStayOutOfRootFrontier(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100 back-to-back 16-rank runs")
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := RunHiPER(RunConfig{Graph: tinyGraph, Root: 1, Ranks: 16, Workers: 2}); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+}
+
+// refEdge is the original float formulation of the R-MAT draw, kept as
+// the reference the integer-threshold edge must reproduce bit for bit.
+func refEdge(g GraphConfig, e int64) (int64, int64) {
+	var u, v int64
+	base := splitmix(uint64(g.Seed))*0x100000001B3 + uint64(e)
+	for bit := 0; bit < g.Scale; bit++ {
+		r := splitmix(base + uint64(bit)*0x9E3779B97F4A7C15)
+		p := float64(r>>11) / float64(1<<53)
+		u <<= 1
+		v <<= 1
+		switch {
+		case p < 0.57:
+		case p < 0.76:
+			v |= 1
+		case p < 0.95:
+			u |= 1
+		default:
+			u |= 1
+			v |= 1
+		}
+	}
+	return u, v
+}
+
+// refBuildLocalCSR is the original two-pass kernel 1 (count degrees, then
+// fill), the reference for the single-pass build's adjacency order.
+func refBuildLocalCSR(g GraphConfig, ranks, r int) *csr {
+	n := g.numVertices()
+	lo, hi := partition(n, ranks, r)
+	local := hi - lo
+	deg := make([]int64, local)
+	m := g.numEdges()
+	for e := int64(0); e < m; e++ {
+		u, v := refEdge(g, e)
+		if u == v {
+			continue
+		}
+		if u >= lo && u < hi {
+			deg[u-lo]++
+		}
+		if v >= lo && v < hi {
+			deg[v-lo]++
+		}
+	}
+	offs := make([]int64, local+1)
+	for i := int64(0); i < local; i++ {
+		offs[i+1] = offs[i] + deg[i]
+	}
+	adj := make([]int64, offs[local])
+	fill := make([]int64, local)
+	for e := int64(0); e < m; e++ {
+		u, v := refEdge(g, e)
+		if u == v {
+			continue
+		}
+		if u >= lo && u < hi {
+			i := u - lo
+			adj[offs[i]+fill[i]] = v
+			fill[i]++
+		}
+		if v >= lo && v < hi {
+			i := v - lo
+			adj[offs[i]+fill[i]] = u
+			fill[i]++
+		}
+	}
+	return &csr{vLo: lo, vHi: hi, offs: offs, adj: adj}
+}
+
+// scale14 is the benchmark's graph size: 16,384 vertices, 262,144 edges.
+var scale14 = GraphConfig{Scale: 14, EdgeFactor: 16, Seed: 11}
+
+// csrSink keeps the benchmarked build from being optimized away.
+var csrSink *csr
+
+// BenchmarkBuildLocalCSR times Graph500 kernel 1 — one rank's CSR built
+// from the generator — for the single-rank (full graph) and two-rank
+// partitions.
+func BenchmarkBuildLocalCSR(b *testing.B) {
+	for _, ranks := range []int{1, 2} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				csrSink = buildLocalCSR(scale14, ranks, 0)
+			}
+		})
+	}
+}
+
+// BenchmarkValidateTree times the oracle check every BFS run ends with.
+func BenchmarkValidateTree(b *testing.B) {
+	parent, depth := SequentialBFS(scale14, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ValidateTree(scale14, 1, parent, depth); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var identityGraphs = []struct {
+	name string
+	g    GraphConfig
+}{
+	{"tiny", tinyGraph},
+	{"default", DefaultGraph},
+	{"scale14", scale14},
+}
+
+// TestEdgeMatchesFloatReference checks every edge of three graphs against
+// the float formulation: the integer thresholds must not move one edge.
+func TestEdgeMatchesFloatReference(t *testing.T) {
+	for _, tc := range identityGraphs {
+		for e := int64(0); e < tc.g.numEdges(); e++ {
+			u, v := tc.g.edge(e)
+			ru, rv := refEdge(tc.g, e)
+			if u != ru || v != rv {
+				t.Fatalf("%s edge %d = (%d,%d), reference (%d,%d)", tc.name, e, u, v, ru, rv)
+			}
+		}
+	}
+}
+
+// TestLocalCSRMatchesTwoPassReference requires the single-pass build to
+// produce the two-pass offsets and adjacency exactly — same neighbour
+// order, hence the same BFS parent choices.
+func TestLocalCSRMatchesTwoPassReference(t *testing.T) {
+	for _, tc := range identityGraphs {
+		for ranks := 1; ranks <= 3; ranks++ {
+			for r := 0; r < ranks; r++ {
+				got, want := buildLocalCSR(tc.g, ranks, r), refBuildLocalCSR(tc.g, ranks, r)
+				if got.vLo != want.vLo || got.vHi != want.vHi ||
+					!slices.Equal(got.offs, want.offs) || !slices.Equal(got.adj, want.adj) {
+					t.Fatalf("%s ranks=%d rank %d: CSR differs from the two-pass reference", tc.name, ranks, r)
+				}
+			}
+		}
+	}
 }

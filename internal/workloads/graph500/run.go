@@ -168,8 +168,19 @@ func RunHiPER(cfg RunConfig) (Result, error) {
 				st.claimLocked(v, parent, depth)
 			}
 
+			n := cfg.Graph.numVertices()
+			st.level = 0
+			if owner(n, cfg.Ranks, cfg.Root) == r {
+				st.tryClaim(cfg.Root, cfg.Root, 0)
+			}
+			st.frontier, st.next = st.next, nil
+
 			// Arm one shmem_async_when handler per inbound channel: fire
 			// when the counter passes what we've consumed, drain, re-arm.
+			// Arm only after the root frontier is swapped in: a peer that
+			// owns the root can send depth-1 claims before this rank gets
+			// here, and a handler draining them into st.next ahead of the
+			// swap would put depth-1 vertices into the depth-0 frontier.
 			// Re-arming stops when the channel is sealed — its sender's
 			// end-of-stream sentinel has been consumed. Disarming must key
 			// off the *sender's* sentinel, not this rank's own progress: a
@@ -194,13 +205,6 @@ func RunHiPER(cfg RunConfig) (Result, error) {
 					arm(c, src)
 				}
 			}
-
-			n := cfg.Graph.numVertices()
-			st.level = 0
-			if owner(n, cfg.Ranks, cfg.Root) == r {
-				st.tryClaim(cfg.Root, cfg.Root, 0)
-			}
-			st.frontier, st.next = st.next, nil
 
 			for lvl := 0; lvl < levelSlots; lvl++ {
 				st.level = int64(lvl + 1)

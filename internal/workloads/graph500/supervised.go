@@ -41,15 +41,15 @@ const (
 
 // SuperviseConfig parameterizes a supervised BFS run.
 type SuperviseConfig struct {
-	Graph         GraphConfig
-	Ranks         int
-	Capacity      int // table capacity; transport is sized Capacity+1 (monitor)
-	Phases        int
-	Cost          simnet.CostModel
-	Plan          fabric.FaultPlan
-	Rel           fabric.RelConfig
-	Det           fabric.DetectorConfig
-	Kills         job.KillPlan
+	Graph    GraphConfig
+	Ranks    int
+	Capacity int // table capacity; transport is sized Capacity+1 (monitor)
+	Phases   int
+	Cost     simnet.CostModel
+	Plan     fabric.FaultPlan
+	Rel      fabric.RelConfig
+	Det      fabric.DetectorConfig
+	Kills    job.KillPlan
 	// Inject, when set, replaces Kills as the fault source (see the ISx
 	// SuperviseConfig for semantics).
 	Inject        func(tab *fabric.EpochTable, kill func(ep int)) func(phase, attempt int)
@@ -96,9 +96,12 @@ func RunSupervised(cfg SuperviseConfig) (SuperviseResult, error) {
 	priv := make([][]float64, cfg.Capacity)
 	mods := make([]*hiperckpt.Module, cfg.Capacity)
 
+	// Oracle depth digests per phase, computed once with no fabric over
+	// one full-graph CSR that every phase's validation reuses.
+	full := buildLocalCSR(g, 1, 0)
 	oracleDigest := make([]uint64, cfg.Phases)
 	for ph := 0; ph < cfg.Phases; ph++ {
-		_, d := SequentialBFS(g, phaseRoot(g, ph))
+		_, d := bfsOver(full, phaseRoot(g, ph))
 		oracleDigest[ph] = fnvDepths(d)
 	}
 
@@ -199,7 +202,7 @@ func RunSupervised(cfg SuperviseConfig) (SuperviseResult, error) {
 		ranks := tab.Ranks()
 		root := phaseRoot(g, phase)
 		parent, depth, visited := gatherResult(g, states[:ranks])
-		if err := ValidateTree(g, root, parent, depth); err != nil {
+		if err := validateOver(full, root, parent, depth); err != nil {
 			return fmt.Errorf("graph500: phase %d: %w", phase, err)
 		}
 		h := fnvDepths(depth)
