@@ -20,7 +20,9 @@ race:
 	$(GO) test -race ./...
 
 ## bench-smoke: quick-scale scheduler microbenchmarks; exercises the whole
-## hiper-bench -sched path without overwriting the committed report.
+## hiper-bench -sched path without overwriting the committed report. Ends
+## with the quick Fig. 4 (HPGMG) sweep, whose residual oracle fails the
+## target if the HiPER history differs from the reference's.
 bench-smoke:
 	$(GO) run ./cmd/hiper-bench -sched -schedout /tmp/BENCH_scheduler.smoke.json
 	$(GO) run ./cmd/hiper-bench -comm -commout /tmp/BENCH_comm.smoke.json
@@ -28,6 +30,7 @@ bench-smoke:
 	$(GO) run ./cmd/hiper-bench -policygate BENCH_scheduler.json
 	$(GO) run ./cmd/hiper-bench -elasticgate BENCH_elastic.json
 	$(GO) run ./cmd/hiper-bench -supervisegate BENCH_supervise.json
+	$(GO) run ./cmd/hiper-bench -only fig4
 
 ## bench-comm-gate: rerun ping-pong + fanin-4to1 at quick scale and fail
 ## if any ns/op regresses >3x vs the committed BENCH_comm.json — loose

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"io"
 	"time"
 
@@ -100,14 +101,17 @@ func Fig4HPGMG(w io.Writer, s Scale) *Figure {
 	hip := fig.NewSeries("HiPER (UPC+++MPI)")
 	for _, r := range ranksSweep {
 		cfg := hpgmg.Config{N: n, NZ: nz, Ranks: r, Workers: 4, Cycles: cycles, Cost: Network()}
+		var want []float64
 		ref.Add(r, Measure(wu, rep, func() time.Duration {
 			res, err := hpgmg.RunReference(cfg)
 			must(err)
+			want = res.Residuals
 			return res.Elapsed
 		}))
 		hip.Add(r, Measure(wu, rep, func() time.Duration {
 			res, err := hpgmg.RunHiPER(cfg)
 			must(err)
+			must(sameHistory(r, want, res.Residuals))
 			return res.Elapsed
 		}))
 	}
@@ -274,6 +278,20 @@ func Graph500Study(w io.Writer, s Scale) *Figure {
 		fig.Render(w)
 	}
 	return fig
+}
+
+// sameHistory is E1's oracle: the HiPER variant computes the reference's
+// iterates, so its residual history must match bit for bit.
+func sameHistory(ranks int, want, got []float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("fig4: %d ranks: HiPER history has %d residuals, reference %d", ranks, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("fig4: %d ranks: HiPER residual %d is %v, reference %v", ranks, i, got[i], want[i])
+		}
+	}
+	return nil
 }
 
 func must(err error) {

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/deque"
 	"repro/internal/platform"
@@ -946,35 +945,6 @@ func (r *Runtime) waitOn(w *worker, tid uint64, f *Future) {
 			r.retireGroup[w.group].Add(1)
 			r.wakeAll()
 		}
-	}
-}
-
-// helpUntil keeps the worker executing eligible tasks until pred holds.
-// Unlike waitOn there is no future to park on — the predicate is satisfied
-// by an external event the scheduler cannot observe (e.g. a remote
-// one-sided write) — so the worker stays live and keeps servicing its
-// places, which is exactly what counter-polling synchronization protocols
-// need. Like the runner loop it spins (yielding) for SpinRounds empty scans
-// and then backs off, napping with capped exponential sleeps so a slow
-// fabric does not burn a core.
-func (r *Runtime) helpUntil(w *worker, pred func() bool) {
-	idle := 0
-	for !pred() {
-		if t := w.findWork(); t != nil {
-			r.execute(w, t)
-			idle = 0
-			continue
-		}
-		idle++
-		if idle <= r.opts.SpinRounds {
-			runtime.Gosched()
-			continue
-		}
-		shift := idle - r.opts.SpinRounds
-		if shift > 6 {
-			shift = 6 // cap the nap at 64µs: pred must stay responsive
-		}
-		time.Sleep(time.Duration(1<<uint(shift)) * time.Microsecond)
 	}
 }
 

@@ -624,29 +624,3 @@ func BenchmarkFib(b *testing.B) {
 		}
 	})
 }
-
-func TestHelpUntilServicesTasksWhileWaiting(t *testing.T) {
-	// One worker: the predicate is satisfied by a task that can only run
-	// if HelpUntil keeps executing work instead of blocking the worker.
-	r := newTestRuntime(t, 1)
-	r.Launch(func(c *Ctx) {
-		var flag atomic.Bool
-		c.Async(func(*Ctx) { flag.Store(true) })
-		c.HelpUntil(flag.Load)
-		if !flag.Load() {
-			t.Error("predicate false after HelpUntil")
-		}
-	})
-}
-
-func TestHelpUntilExternalEvent(t *testing.T) {
-	r := newTestRuntime(t, 1)
-	var flag atomic.Bool
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		flag.Store(true) // external event, no task involved
-	}()
-	r.Launch(func(c *Ctx) {
-		c.HelpUntil(flag.Load)
-	})
-}

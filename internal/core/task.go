@@ -264,15 +264,6 @@ func (c *Ctx) Wait(f *Future) {
 	c.rt.waitOn(c.w, c.tid, f)
 }
 
-// HelpUntil keeps the current worker executing eligible tasks until pred
-// returns true, napping briefly when no work is available. Use it to wait
-// on conditions established by events outside the runtime (e.g. a remote
-// one-sided write flipping a flag) without stalling the tasks — such as
-// module pollers — that the condition's satisfaction may depend on.
-func (c *Ctx) HelpUntil(pred func() bool) {
-	c.rt.helpUntil(c.w, pred)
-}
-
 // Get waits for f and returns its value.
 func (c *Ctx) Get(f *Future) any {
 	c.Wait(f)

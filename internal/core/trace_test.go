@@ -132,9 +132,21 @@ func TestTraceFanoutWake(t *testing.T) {
 		t.Fatalf("ran %d fanout tasks, want %d", ran.Load(), want)
 	}
 	// Quiescent traced window: with the injection and dump goroutines gone
-	// and no work left, every worker runs out its spin rounds and parks,
-	// guaranteeing park events survive to the final snapshot.
-	time.Sleep(10 * time.Millisecond)
+	// and no work left, every worker runs out its spin rounds and parks.
+	// Wait for a park event rather than for a fixed time. Each dump pauses
+	// recording, and under CPU load the dumps can cover every park of the
+	// rounds above; a worker that parked unrecorded stays parked. So each
+	// poll that finds no park wakes the pool with one more burst, now
+	// with recording on. The deadline bounds a runtime that never parks.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		if r.Tracer().Derived().Parks > 0 {
+			break
+		}
+		r.Launch(func(c *Ctx) {
+			c.ForasyncSync(Range{Lo: 0, Hi: r.NumWorkers() * 8, Grain: 1}, func(*Ctx, int) {})
+		})
+		time.Sleep(time.Millisecond)
+	}
 	var buf bytes.Buffer
 	if err := r.TraceDump(&buf); err != nil {
 		t.Fatalf("final TraceDump: %v", err)

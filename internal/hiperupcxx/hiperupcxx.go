@@ -2,7 +2,9 @@
 // one-sided operations and RPCs map naturally onto HiPER futures; the
 // module additionally discharges UPC++'s progress obligation (inbound RPCs
 // only execute inside upcxx::progress) with a poller task on the unified
-// runtime, so applications never hand-roll progress loops.
+// runtime, so applications never hand-roll progress loops. On the target
+// side, WhenGE turns an inbound rput into a future the writer's arrival
+// satisfies, so counter-based protocols wait without polling.
 package hiperupcxx
 
 import (
@@ -39,6 +41,18 @@ type Module struct {
 	mu           sync.Mutex
 	pollerActive bool
 	finalized    atomic.Bool
+
+	whenMu sync.Mutex
+	whens  []when // unsatisfied WhenGE futures
+}
+
+// when is one pending WhenGE: prom is satisfied once this rank's element
+// off of a reaches want.
+type when struct {
+	a    *upcxx.SharedArray
+	off  int
+	want float64
+	prom *core.Promise
 }
 
 // New creates the module for one rank.
@@ -75,6 +89,7 @@ func (m *Module) Init(rt *core.Runtime) error {
 		}
 		m.armPollerExternal()
 	})
+	m.rank.OnRemoteWrite(m.arrived)
 	return nil
 }
 
@@ -92,9 +107,12 @@ func (m *Module) armPollerExternal() {
 	}
 }
 
-// Finalize stops the progress poller.
+// Finalize stops the progress poller and releases the rank's hooks, so a
+// world that outlives this runtime does not pin the module.
 func (m *Module) Finalize() {
 	m.finalized.Store(true)
+	m.rank.OnRPCEnqueued(nil)
+	m.rank.OnRemoteWrite(nil)
 }
 
 // Rank returns the wrapped UPC++ rank.
@@ -164,6 +182,50 @@ func (m *Module) RPutAwait(c *core.Ctx, a *upcxx.SharedArray, dst, off int, vals
 		m.RPut(cc, a, dst, off, vals).OnDone(func(any) { out.Put(nil) })
 	}, deps...)
 	return out.Future()
+}
+
+// WhenGE returns a future satisfied once this rank's element off of a is
+// at least want: the target side of a counter protocol, where a sender
+// rputs data and then a sequence number chained on it. The rput that
+// lands the value satisfies the future on its delivering goroutine, so a
+// task waiting on it (Ctx.Wait) suspends through the runtime's
+// help-then-substitute path and wakes on the arrival itself.
+func (m *Module) WhenGE(a *upcxx.SharedArray, off int, want float64) *core.Future {
+	m.whenMu.Lock()
+	if a.Peek(m.rank.ID(), off) >= want {
+		m.whenMu.Unlock()
+		return core.Satisfied(m.rt, nil)
+	}
+	prom := core.NewPromise(m.rt)
+	m.whens = append(m.whens, when{a: a, off: off, want: want, prom: prom})
+	m.whenMu.Unlock()
+	return prom.Future()
+}
+
+// arrived re-scans the pending WhenGE futures after an rput into this
+// rank's segment became visible. WhenGE checks and registers under
+// whenMu, and this scan takes whenMu only after the write is visible, so
+// either the registration saw the new value or the scan sees the
+// registration: no arrival is lost. Promises are put outside the lock.
+func (m *Module) arrived() {
+	var buf [2]*core.Promise // an arrival rarely releases more than two waiters
+	ready := buf[:0]
+	me := m.rank.ID()
+	m.whenMu.Lock()
+	kept := m.whens[:0]
+	for _, w := range m.whens {
+		if w.a.Peek(me, w.off) >= w.want {
+			ready = append(ready, w.prom)
+		} else {
+			kept = append(kept, w)
+		}
+	}
+	clear(m.whens[len(kept):])
+	m.whens = kept
+	m.whenMu.Unlock()
+	for _, p := range ready {
+		p.Put(nil)
+	}
 }
 
 // RGet asynchronously reads n elements from src's block at off; the future

@@ -13,8 +13,9 @@ import (
 // that parks its goroutine in the Go scheduler takes a HiPER worker
 // thread with it, stalling every place on that worker's pop path. The
 // suspending equivalents (Ctx.Wait/Get on futures, AsyncAwait
-// predication, Ctx.HelpUntil for external conditions, finish scopes
-// instead of WaitGroups) keep the worker servicing its places.
+// predication, a module's when-future for a condition another rank
+// establishes, finish scopes instead of WaitGroups) keep the worker
+// servicing its places.
 //
 // Flagged inside a task body:
 //   - time.Sleep
@@ -173,7 +174,7 @@ func (c *BlockingInTask) checkTaskBody(p *Package, r *Reporter, lit *ast.FuncLit
 			return true
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				r.Reportf(n.Pos(), "raw channel receive blocks the worker thread inside a task; suspend with Ctx.Wait/Get on a future or poll with Ctx.HelpUntil")
+				r.Reportf(n.Pos(), "raw channel receive blocks the worker thread inside a task; suspend with Ctx.Wait/Get on a future (a module when-future for remote writes)")
 			}
 			return true
 		}
@@ -202,7 +203,7 @@ func (c *BlockingInTask) checkTransitive(p *Package, r *Reporter, call *ast.Call
 			continue
 		}
 		e := sum.Blocks[0]
-		r.Reportf(call.Pos(), "calling %s inside a task reaches %s (via %s at %s), which blocks the worker thread; suspend with futures (Ctx.Wait/Get, AsyncAwait) or Ctx.HelpUntil instead",
+		r.Reportf(call.Pos(), "calling %s inside a task reaches %s (via %s at %s), which blocks the worker thread; suspend with futures (Ctx.Wait/Get, AsyncAwait, module when-futures) instead",
 			callee.Name, e.What, chainOrSelf(callee, e), r.Position(e.Pos))
 		return // one witness per call site is enough
 	}
@@ -256,7 +257,7 @@ func (c *BlockingInTask) checkCall(p *Package, r *Reporter, call *ast.CallExpr) 
 	switch sel.Sel.Name {
 	case "Sleep":
 		if isPkgIdent(p, sel.X, "time") {
-			r.Reportf(call.Pos(), "time.Sleep inside a task blocks the worker thread; suspend with Ctx.HelpUntil (it keeps servicing places) or restructure with AsyncAwait")
+			r.Reportf(call.Pos(), "time.Sleep inside a task blocks the worker thread; wait on the future of the event you are pacing for (Ctx.Wait keeps servicing places) or restructure with AsyncAwait")
 		}
 	case "Wait":
 		if isNamedType(p, sel.X, "sync", "WaitGroup") {

@@ -16,6 +16,7 @@ package upcxx
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/fabric"
 	"repro/internal/simnet"
@@ -65,10 +66,11 @@ type Rank struct {
 	w  *World
 	id int
 
-	rpcMu     sync.Mutex
-	rpcQ      []func()
-	rpcNotify func()
-	pending   sync.WaitGroup // outstanding one-sided ops issued by this rank
+	rpcMu       sync.Mutex
+	rpcQ        []func()
+	rpcNotify   func()
+	writeNotify atomic.Pointer[func()] // read on every rput delivery
+	pending     sync.WaitGroup         // outstanding one-sided ops issued by this rank
 }
 
 // OnRPCEnqueued registers fn to be invoked (on the delivering goroutine)
@@ -79,6 +81,29 @@ func (r *Rank) OnRPCEnqueued(fn func()) {
 	r.rpcMu.Lock()
 	r.rpcNotify = fn
 	r.rpcMu.Unlock()
+}
+
+// OnRemoteWrite registers fn to be invoked (on the delivering goroutine)
+// after every rput into this rank's segment becomes visible: the data is
+// already copied, and no segment lock is held. Layers that wait on
+// values other ranks write — like the HiPER UPC++ module's when-futures —
+// use it to wake on the arrival instead of polling for it. A nil fn
+// clears the hook.
+func (r *Rank) OnRemoteWrite(fn func()) {
+	if fn == nil {
+		r.writeNotify.Store(nil)
+		return
+	}
+	r.writeNotify.Store(&fn)
+}
+
+// Hooked reports whether an OnRPCEnqueued or OnRemoteWrite hook is
+// registered, so a layer that installs them can check it released them.
+func (r *Rank) Hooked() bool {
+	r.rpcMu.Lock()
+	rpc := r.rpcNotify != nil
+	r.rpcMu.Unlock()
+	return rpc || r.writeNotify.Load() != nil
 }
 
 // ID returns the calling rank (upcxx::rank_me).
@@ -152,11 +177,15 @@ func (a *SharedArray) Peek(r, i int) float64 {
 func (r *Rank) RPut(a *SharedArray, dst, off int, vals []float64, onRemote func()) {
 	cp := make([]float64, len(vals))
 	copy(cp, vals)
+	target := r.w.ranks[dst]
 	r.pending.Add(1)
 	r.w.tr.Put(r.id, dst, 8*len(cp), func() {
 		a.mus[dst].Lock()
 		copy(a.data[dst][off:], cp)
 		a.mus[dst].Unlock()
+		if notify := target.writeNotify.Load(); notify != nil {
+			(*notify)()
+		}
 	}, func() {
 		if onRemote != nil {
 			onRemote()

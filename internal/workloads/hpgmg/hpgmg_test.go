@@ -188,3 +188,45 @@ func TestSingleRank(t *testing.T) {
 		t.Fatalf("history = %v", res.Residuals)
 	}
 }
+
+// TestBenchmarkShapeBitIdentical runs the repository benchmark's hpgmg
+// shape (N=32, NZ=16, 2 ranks x 1 worker) under the congested Network cost
+// model, where every halo wait suspends on a when-future with a single
+// worker per rank, and requires the HiPER residual history to equal the
+// reference's bit for bit. The solve is bounded, so a lost wakeup fails
+// the test instead of hanging it.
+func TestBenchmarkShapeBitIdentical(t *testing.T) {
+	cfg := Config{N: 32, NZ: 16, Ranks: 2, Workers: 1, Cycles: 3,
+		Cost: simnet.CostModel{Alpha: 15 * time.Microsecond, BytesPerSec: 2e9,
+			CongestWindow: 8, CongestPenalty: 150 * time.Microsecond}}
+	want, err := RunReference(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := RunHiPER(cfg)
+		done <- outcome{res, err}
+	}()
+	var got outcome
+	select {
+	case got = <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("HiPER solve still running after 60s: a halo wait was never released")
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if len(got.res.Residuals) != len(want.Residuals) {
+		t.Fatalf("history length %d, reference %d", len(got.res.Residuals), len(want.Residuals))
+	}
+	for i := range want.Residuals {
+		if got.res.Residuals[i] != want.Residuals[i] {
+			t.Fatalf("residual %d differs: %v vs reference %v", i, got.res.Residuals[i], want.Residuals[i])
+		}
+	}
+}

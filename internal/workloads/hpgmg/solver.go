@@ -253,11 +253,13 @@ type hiperEngine struct {
 	grain int
 }
 
-// waitCtr waits for an inbound sequence counter to reach want, helping
-// with other runtime work meanwhile (the chained counter rputs of THIS
-// rank are tasks that may need this very worker).
+// waitCtr waits for an inbound sequence counter to reach want. The wait
+// suspends on the module's when-future, which the counter rput's arrival
+// satisfies; meanwhile the worker helps with other runtime work (the
+// chained counter rputs of THIS rank are tasks that may need this very
+// worker).
 func (e *hiperEngine) waitCtr(c *core.Ctx, a *upcxx.SharedArray, slot int, want float64) {
-	c.HelpUntil(func() bool { return a.Peek(e.rank, slot) >= want })
+	c.Wait(e.um.WhenGE(a, slot, want))
 }
 
 func (e *hiperEngine) exchange(c *core.Ctx, li int, l *level, arr []float64) {
